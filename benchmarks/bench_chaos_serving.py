@@ -1,6 +1,7 @@
 """Chaos benchmark — self-healing serving under injected faults.
 
-The acceptance drill for the fault-injection harness: with >= 20% of
+The acceptance drill for the fault-injection harness, run through the
+``chaos-bench`` drill (:func:`repro.bench.chaos_drill`): with >= 20% of
 jigsaw kernel launches faulted *and* one on-disk plan artifact
 corrupted,
 
@@ -9,155 +10,48 @@ corrupted,
   chain;
 * the corrupt artifact is quarantined and rebuilt transparently;
 * once injection stops, half-open breaker probes restore the jigsaw
-  fast path (breakers re-close);
-* with injection disabled the executor's behaviour is identical to the
-  plain serving bench (zero retries/trips — the harness is free when
-  off).
+  fast path (breakers re-close).
+
+That the harness is free when off is asserted by ``bench_serving.py``.
 """
 
-import numpy as np
-
-from repro.analysis import render_serving
+from repro.bench import chaos_drill
 from repro.core import load_jigsaw
-from repro.data import expand_to_vector_sparse
-from repro.faults import CLOSED, BreakerBoard, FaultPlan, RetryPolicy
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
+from repro.obs import validate_bench_serving
 
-
-def _matrix(seed: int, m: int = 128, k: int = 256, sparsity: float = 0.9) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    base = rng.random((m // 8, k)) >= sparsity
-    return expand_to_vector_sparse(base, 8, rng)
-
-
-def _traffic(executor, matrices, rng, n_requests, k=256, n=32):
-    names = list(matrices)
-    requests = [
-        SpmmRequest(
-            matrix=names[i % len(names)],
-            b=rng.standard_normal((k, n)).astype(np.float16),
-        )
-        for i in range(n_requests)
-    ]
-    futures = [executor.submit(r) for r in requests]
-    executor.flush()
-    raised, results = 0, []
-    for f, req in zip(futures, requests):
-        exc = f.exception(timeout=120)
-        if exc is not None:
-            raised += 1
-            results.append(None)
-        else:
-            results.append((req, f.result()))
-    return raised, results
+from conftest import emit
 
 
 def test_self_healing_under_kernel_faults_and_corrupt_artifact(tmp_path):
     """>= 20% jigsaw faults + one corrupt artifact: all served, quarantine
     + rebuild happens, and the breakers re-close once faults stop."""
-    from conftest import emit
-
-    matrices = {f"w{i}": _matrix(30 + i) for i in range(2)}
-    rng = np.random.default_rng(9)
-
-    fp = FaultPlan(seed=0).add("executor.kernel.jigsaw", probability=0.35)
-    fp.disable()  # warm-up must be clean
-
-    registry = PlanRegistry(cache_dir=tmp_path, fault_plan=fp)
-    for name, a in matrices.items():
-        registry.register(name, a)
-    registry.warm()
-
-    artifacts = sorted(tmp_path.glob("*.npz"))
-    assert artifacts
-    victim = artifacts[0]
-    victim.write_bytes(victim.read_bytes()[:-9] + b"corrupted")
-    registry.clear()  # next admission must go through the corrupt file
-
-    breakers = BreakerBoard(failure_threshold=2, cooldown_s=0.05)
-    with BatchExecutor(
-        registry,
+    result = chaos_drill(
+        matrices=2,
+        requests=32,
+        m=128,
+        k=256,
+        n=32,
+        sparsity=0.9,
+        v=8,
+        seed=30,
+        fault_rate=0.35,
         max_batch=4,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=1e-4),
-        breakers=breakers,
-        fault_plan=fp,
-    ) as executor:
-        fp.enable()
-        raised_chaos, chaos_results = _traffic(executor, matrices, rng, 32)
-        chaos_stats = executor.stats()
-        fp.disable()
-        import time
+        pool_workers=4,
+        breaker_threshold=2,
+        breaker_cooldown_s=0.05,
+        plan_cache=str(tmp_path),
+    )
+    emit("Chaos drill: 35% jigsaw faults + corrupt artifact", result.render())
+    facts = result.facts
 
-        time.sleep(0.1)  # past the cooldown: probe windows open
-        raised_heal, heal_results = _traffic(executor, matrices, rng, 32)
-        heal_stats = executor.stats()
-
-    # Zero raised futures in both phases, every output correct.
-    assert raised_chaos == 0 and raised_heal == 0
-    for item in chaos_results + heal_results:
-        req, res = item
-        ref = matrices[req.matrix].astype(np.float32) @ req.b.astype(np.float32)
-        np.testing.assert_allclose(res.c, ref, rtol=1e-2, atol=0.1)
-
+    assert result.ok  # zero raised futures in both phases
+    assert validate_bench_serving(result.doc) == []
     # The chaos phase actually injected a meaningful fault volume.
-    assert fp.total_fired >= 2
-
+    assert facts["faults_injected"] >= 2
     # Corrupt artifact quarantined and a fresh loadable one rebuilt.
-    assert chaos_stats.quarantined == 1
-    assert (tmp_path / "quarantine" / victim.name).exists()
-    load_jigsaw(victim)  # rebuilt in place, passes integrity check
-
+    assert facts["quarantined"] == 1
+    (victim,) = (tmp_path / "quarantine").glob("*.npz")
+    load_jigsaw(tmp_path / victim.name)  # rebuilt in place, passes integrity check
     # Self-healing: breakers re-closed and the heal phase runs jigsaw.
-    heal_jigsaw = heal_stats.route_counts["jigsaw"] - chaos_stats.route_counts["jigsaw"]
-    assert all(s == CLOSED for s in breakers.snapshot().values())
-    assert heal_jigsaw > 0
-
-    emit(
-        "Chaos drill: 35% jigsaw faults + corrupt artifact",
-        f"chaos phase: {chaos_stats.route_counts} "
-        f"(retries {chaos_stats.retries}, trips {chaos_stats.breaker_trips}, "
-        f"raised {raised_chaos})\n"
-        f"heal phase jigsaw launches: {heal_jigsaw} (raised {raised_heal})\n"
-        f"faults injected: {fp.total_fired}, quarantined: {chaos_stats.quarantined}\n\n"
-        + render_serving(heal_stats),
-    )
-
-
-def test_disabled_injection_is_free(tmp_path):
-    """With no fault plan the hardened executor's counters stay zero and
-    the batched-vs-sequential result matches the plain serving bench."""
-    from conftest import emit
-
-    from repro.core import JigsawPlan
-
-    a = _matrix(3, m=256, k=512)
-    rng = np.random.default_rng(5)
-    panels = [rng.standard_normal((512, 64)).astype(np.float16) for _ in range(8)]
-
-    plan = JigsawPlan(a)
-    sequential_us = sum(
-        plan.run(b, want_output=False).profile.duration_us for b in panels
-    )
-
-    registry = PlanRegistry(cache_dir=tmp_path)
-    registry.register("w", a)
-    with BatchExecutor(registry, max_batch=8) as executor:
-        executor.run([SpmmRequest("w", b) for b in panels])
-        batched_us = sum(b.kernel_us for b in executor.batch_stats())
-        stats = executor.stats()
-
-    assert stats.retries == 0
-    assert stats.breaker_trips == 0
-    assert stats.quarantined == 0
-    assert stats.rejected == 0
-    assert stats.route_counts["jigsaw"] == 8
-    assert batched_us < sequential_us
-
-    emit(
-        "Hardened executor, injection disabled (must match PR 2 serving)",
-        f"sequential: {sequential_us:8.2f} us\n"
-        f"batched:    {batched_us:8.2f} us "
-        f"({sequential_us / batched_us:.2f}x)\n"
-        f"retries/trips/quarantines/rejections: "
-        f"{stats.retries}/{stats.breaker_trips}/{stats.quarantined}/{stats.rejected}",
-    )
+    assert facts["breakers_reclosed"]
+    assert facts["heal_routes"]["jigsaw"] > 0

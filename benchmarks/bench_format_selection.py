@@ -5,69 +5,59 @@ The tentpole claim of the format dimension: on VENOM-pruned matrices the
 choices amortized over V rows) and therefore simulates faster than the
 rigid 2:4 routes — most at V=32, shrinking toward parity as V grows and
 the 2:4 slab extraction becomes byte-isomorphic to the V:N:M layout.
-A :class:`~repro.sched.CostModel` fed those measurements must *discover*
-the ranking (no pinning) and order ``jigsaw@vnm`` first.
+
+Run through the ``serve-bench --compare-formats`` drill
+(:func:`repro.bench.ab_drill`): the contender's
+:class:`~repro.sched.CostModel` measures every route on served traffic
+and must *discover* the ranking (no pinning), so its learned simulated
+us/col per route is what this bench asserts on.
 """
 
-import numpy as np
+import pytest
 
-from repro.core import JigsawPlan
-from repro.formats import venom_prune
-from repro.sched import CostModel
+from repro.bench import ab_drill
+from repro.obs import validate_bench_serving
 
 from conftest import emit
 
 
-def _measure(v: int, m: int, shape=(768, 2048), n=256, seed=0):
-    rng = np.random.default_rng(seed)
-    a = venom_prune(rng.standard_normal(shape).astype(np.float16), v=v, n=2, m=m)
-    b = rng.standard_normal((shape[1], n)).astype(np.float16)
-    plan = JigsawPlan(a)
-    ref = a.astype(np.float32) @ b.astype(np.float32)
-    out = {}
-    res = plan.run(b, version="v4")
-    # Tile routes accumulate per MMA tile: close to, not bit-equal to,
-    # the flat fp32 product.
-    assert np.allclose(res.c, ref, rtol=1e-4, atol=1e-4)
-    out["jigsaw"] = res.profile.duration_us
-    res = plan.run_compiled(b)
-    assert np.allclose(res.c, ref, rtol=1e-4, atol=1e-4)
-    out["compiled"] = res.profile.duration_us
-    res = plan.run_vnm(b)
-    assert np.array_equal(res.c, ref)  # bit-identical to the fp32 reference
-    out["jigsaw@vnm"] = res.profile.duration_us
-    return out, n
+@pytest.mark.parametrize("venom_v", [32, 64, 128])
+def test_format_selection(venom_v, tmp_path):
+    result = ab_drill(
+        "formats",
+        matrices=1,
+        requests=4,
+        m=768,
+        k=2048,
+        n=64,
+        sparsity=0.9,
+        v=8,
+        seed=0,
+        max_batch=8,
+        pool_workers=4,
+        warmup_rounds=10,
+        venom_v=venom_v,
+        venom_m=16,
+        plan_cache=str(tmp_path),
+    )
+    assert result.ok
+    assert validate_bench_serving(result.doc) == []
+    sel = result.doc["comparison"]["format_selection"]
+    costs = sel["costs_us_per_col"]["w0"]
+    emit(
+        f"Format zoo at V={venom_v}: learned simulated us/col per route",
+        "\n".join(f"{r:>11} {us:.5f}" for r, us in sorted(costs.items()))
+        + "\n\n"
+        + result.render(),
+    )
 
-
-def _run():
-    rows = {}
-    for v in (32, 64, 128):
-        rows[v], n_cols = _measure(v, 16)
-    return rows, n_cols
-
-
-def test_format_selection(benchmark):
-    rows, n_cols = benchmark.pedantic(_run, rounds=1, iterations=1)
-    lines = [f"{'V':>4} {'jigsaw':>10} {'compiled':>10} {'jigsaw@vnm':>11}"]
-    for v, times in rows.items():
-        lines.append(
-            f"{v:>4} {times['jigsaw']:>9.2f}u {times['compiled']:>9.2f}u "
-            f"{times['jigsaw@vnm']:>10.2f}u"
-        )
-    emit("Format zoo: simulated us per route on VENOM-pruned 768x2048", "\n".join(lines))
-
-    for v, times in rows.items():
-        # vnm never loses to the rigid routes, and wins outright at V=32
-        # (there the 2:4 slab routes merge two panels' column choices per
-        # 64-row slab and stream the padded union; vnm fetches less).
-        assert times["jigsaw@vnm"] <= times["compiled"] * 1.001, (v, times)
-        assert times["jigsaw@vnm"] <= times["jigsaw"] * 1.001, (v, times)
-    assert rows[32]["jigsaw@vnm"] < rows[32]["compiled"] * 0.97, rows[32]
-
-    # Cost-model discovery: feed the measurements as observations and the
-    # model must rank jigsaw@vnm first — empirically, never by pinning.
-    model = CostModel()
-    for route, us in rows[32].items():
-        model.observe("w", route, us, n_cols)
-    plan = model.plan("w", ["jigsaw", "compiled", "jigsaw@vnm", "hybrid", "dense"], n_cols)
-    assert plan[0] == "jigsaw@vnm", plan
+    # vnm never loses to the rigid tile-family routes, and wins outright
+    # at V=32 (there the 2:4 slab routes merge two panels' column choices
+    # per 64-row slab and stream the padded union; vnm fetches less).
+    vnm = costs["jigsaw@vnm"]
+    assert vnm <= costs["compiled"] * 1.001, costs
+    assert vnm <= costs["jigsaw"] * 1.001, costs
+    if venom_v == 32:
+        assert vnm < costs["compiled"] * 0.97, costs
+        mix = sel["contender_route_mix"]
+        assert mix["jigsaw@vnm"] > sum(n for r, n in mix.items() if r != "jigsaw@vnm"), mix

@@ -2,119 +2,65 @@
 
 The paper's amortization story (Sections 3.1, 4.5) pays the reorder once
 and spreads it over many SpMM launches; this bench measures the
-many-launch half:
+many-launch half with the ``serve-bench`` drill (:func:`repro.bench.serve_drill`):
 
 * **Batching amortizes launches.**  Eight concurrent requests against
   one stationary matrix execute as a single concatenated-B launch, which
   must beat eight sequential ``plan.run`` launches on simulated kernel
-  time (fixed per-launch overhead + wave quantization amortize).
+  time (fixed per-launch overhead + wave quantization amortize).  With
+  no fault plan armed, every resilience counter stays zero.
 * **Eviction is a disk load, not a recompute.**  A registry whose byte
-  budget is smaller than the working set keeps evicting, yet — after a
-  warm-up pass populates the on-disk plan cache — serves every request
-  correctly with ``reorder_runs == 0``.
+  budget is smaller than the working set keeps evicting, yet — after the
+  drill's sequential baseline populates the on-disk plan cache — serves
+  every request with ``reorder_runs == 0``.
 """
 
-import numpy as np
-
-from repro.analysis import render_serving
-from repro.core import JigsawPlan
-from repro.data import expand_to_vector_sparse
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
+from repro.bench import serve_drill
+from repro.obs import validate_bench_serving
 
 from conftest import emit
 
-
-def _matrix(seed: int, m: int = 256, k: int = 512, sparsity: float = 0.9) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    base = rng.random((m // 8, k)) >= sparsity
-    return expand_to_vector_sparse(base, 8, rng)
+SMALL = dict(k=512, n=64, sparsity=0.9, v=8, seed=3, pool_workers=4)
 
 
 def test_batched_executor_beats_sequential(tmp_path):
-    """>= 8 concurrent same-matrix requests: one batched launch must beat
-    the sequential per-request loop on simulated kernel time."""
-    a = _matrix(3)
-    rng = np.random.default_rng(5)
-    panels = [rng.standard_normal((512, 64)).astype(np.float16) for _ in range(8)]
-
-    plan = JigsawPlan(a)
-    sequential_us = sum(
-        plan.run(b, want_output=False).profile.duration_us for b in panels
+    result = serve_drill(
+        matrices=1, requests=8, m=256, max_batch=8, plan_cache=str(tmp_path), **SMALL
     )
+    assert result.ok
+    assert validate_bench_serving(result.doc) == []
+    (record,) = result.doc["scenarios"]
+    seq_us = result.facts["sequential_kernel_us"]
+    batched_us = result.facts["batched_kernel_us"]
+    emit("Batched serving vs sequential launches", result.render())
 
-    registry = PlanRegistry(cache_dir=tmp_path)
-    registry.register("w", a)
-    with BatchExecutor(registry, max_batch=8) as executor:
-        results = executor.run([SpmmRequest("w", b) for b in panels])
-        batched_us = sum(b.kernel_us for b in executor.batch_stats())
-        stats = executor.stats()
-
-    ref = a.astype(np.float32)
-    for res, b in zip(results, panels):
-        np.testing.assert_allclose(
-            res.c, ref @ b.astype(np.float32), rtol=1e-3, atol=1e-2
-        )
-        assert res.stats.batch_size == 8
-        assert res.stats.route == "jigsaw"
-
-    emit(
-        "Batched serving vs sequential launches",
-        f"8 requests, N=64 each, matrix 256x512 (90% sparse, v=8)\n"
-        f"sequential: {sequential_us:8.2f} us ({len(panels)} launches)\n"
-        f"batched:    {batched_us:8.2f} us ({stats.batches} launch)\n"
-        f"speedup:    {sequential_us / batched_us:.2f}x\n\n"
-        + render_serving(stats),
-    )
+    assert record["route_mix"]["jigsaw"] == 8
+    stats = result.stats
     assert stats.batches == 1
-    assert batched_us < sequential_us, (
-        f"batched {batched_us:.2f}us not faster than sequential {sequential_us:.2f}us"
+    assert batched_us < seq_us, f"batched {batched_us:.2f}us not faster than {seq_us:.2f}us"
+    # Injection disabled: the hardened executor pays nothing for it.
+    assert (stats.retries, stats.breaker_trips, stats.quarantined, stats.rejected) == (
+        0,
+        0,
+        0,
+        0,
     )
 
 
 def test_registry_under_budget_serves_with_zero_reorders(tmp_path):
-    """Budget < working set: evictions churn, every request stays correct,
-    and after warm-up no reorder ever runs again (re-admission loads the
-    disk artifact)."""
-    matrices = {f"w{i}": _matrix(10 + i, m=128, k=256) for i in range(3)}
-    rng = np.random.default_rng(7)
-
-    # Warm-up: build every BLOCK_TILE format once, persisting artifacts.
-    warm = PlanRegistry(cache_dir=tmp_path)
-    for name, a in matrices.items():
-        warm.register(name, a)
-    warm.warm()
-    warm_reorders = warm.reorder_runs
-    assert warm_reorders > 0
-    working_set = warm.resident_bytes()
-
-    # Serving pass: budget fits roughly one plan of the three.
-    registry = PlanRegistry(budget_bytes=working_set // 3, cache_dir=tmp_path)
-    for name, a in matrices.items():
-        registry.register(name, a)
-
-    with BatchExecutor(registry, max_batch=4) as executor:
-        requests = [
-            SpmmRequest(
-                matrix=f"w{i % 3}",
-                b=rng.standard_normal((256, 32)).astype(np.float16),
-            )
-            for i in range(24)
-        ]
-        results = executor.run(requests)
-        stats = executor.stats()
-
-    for res, req in zip(results, requests):
-        ref = matrices[req.matrix].astype(np.float32) @ req.b.astype(np.float32)
-        np.testing.assert_allclose(res.c, ref, rtol=1e-3, atol=1e-2)
-
-    emit(
-        "Registry under budget (evictions re-admit from disk)",
-        f"3 matrices, budget = working set / 3\n"
-        f"warm-up reorders: {warm_reorders}\n"
-        f"serving reorders: {registry.reorder_runs}\n"
-        f"evictions: {registry.stats.evictions}  "
-        f"plan-cache hits: {registry.plan_cache_hits}\n\n" + render_serving(stats),
+    # 0.05 MiB fits about one of the three 128x512 plans.
+    result = serve_drill(
+        matrices=3,
+        requests=24,
+        m=128,
+        max_batch=4,
+        budget_mb=0.05,
+        plan_cache=str(tmp_path),
+        **SMALL,
     )
-    assert registry.stats.evictions > 0, "budget never forced an eviction"
-    assert registry.reorder_runs == 0, "eviction caused a recompute"
-    assert registry.plan_cache_hits > 0
+    assert result.ok
+    assert validate_bench_serving(result.doc) == []
+    emit("Registry under budget (evictions re-admit from disk)", result.render())
+    stats = result.stats
+    assert stats.registry_evictions > 0, "budget never forced an eviction"
+    assert stats.reorder_runs == 0, "eviction caused a recompute"

@@ -1,6 +1,7 @@
 """Shard chaos benchmark — crash recovery in the multi-process tier.
 
-The acceptance drill for the supervised shard fleet (docs/sharding.md):
+The acceptance drill for the supervised shard fleet (docs/sharding.md),
+run through the ``shard-bench`` drill (:func:`repro.bench.shard_drill`):
 with every worker incarnation hard-dying (``os._exit``) after serving K
 requests,
 
@@ -10,81 +11,43 @@ requests,
   same plan cache (``version="v2"`` pins the tile, so the comparison is
   exact, not approximate);
 * no worker incarnation ever reorders — respawns admit every plan from
-  the shared pre-warmed on-disk cache (the counter is shipped on every
-  result frame and asserted at the router).
+  the shared pre-warmed on-disk cache.
 """
 
-import numpy as np
+from repro.bench import shard_drill
+from repro.obs import validate_bench_serving
 
-from repro.analysis import render_serving
-from repro.data import expand_to_vector_sparse
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
-from repro.shard import Supervisor
-
-
-def _matrix(seed: int, m: int = 128, k: int = 256, sparsity: float = 0.9) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    base = rng.random((m // 8, k)) >= sparsity
-    return expand_to_vector_sparse(base, 8, rng)
+from conftest import emit
 
 
 def test_crash_recovery_zero_lost_bit_identical(tmp_path):
     """Kill a worker every 3 requests: zero lost, bit-identical, zero
     reorder in any respawned incarnation."""
-    from conftest import emit
-
-    matrices = {f"w{i}": _matrix(40 + i) for i in range(3)}
-    warm = PlanRegistry(cache_dir=tmp_path, block_tiles=(64,))
-    for name, a in matrices.items():
-        warm.register(name, a)
-    warm.warm()
-
-    rng = np.random.default_rng(7)
-    requests = [
-        SpmmRequest(
-            matrix=f"w{i % 3}",
-            b=rng.standard_normal((256, 32)).astype(np.float16),
-            version="v2",
-        )
-        for i in range(12)
-    ]
-
-    results = []
-    with Supervisor(
+    result = shard_drill(
         workers=2,
-        cache_dir=tmp_path,
-        fault_sites=[
-            {"site": "shard.kill", "probability": 1.0, "after": 2, "count": 1}
-        ],
-    ) as sup:
-        sup.wait_ready()
-        for name, a in matrices.items():
-            sup.router.register_matrix(name, a)
-        for r in requests:
-            results.append(sup.router.submit(r).result(timeout=120))
-        crashes, respawns = sup.crashes, sup.respawns
-        redeliveries = sup.router.redeliveries
-        poisoned = sup.router.poisoned_matrices
-        reorder = sum(sup.router.worker_reorder_runs.values())
-        stats = sup.router.stats()
-
-    assert all(r is not None for r in results)  # zero lost
-    assert crashes >= 1 and respawns >= 1  # the chaos actually happened
-    assert not poisoned  # serial traffic: recovery, not poison escalation
-    assert reorder == 0  # respawns admit everything from the warm cache
-
-    with BatchExecutor(PlanRegistry(cache_dir=tmp_path, block_tiles=(64,))) as ref:
-        for name, a in matrices.items():
-            ref.registry.register(name, a)
-        for req, res in zip(requests, results):
-            expected = ref.submit(
-                SpmmRequest(matrix=req.matrix, b=req.b, version="v2")
-            ).result(timeout=120)
-            assert np.array_equal(res.c, expected.c)  # bit-identical
-
-    emit(
-        "Shard chaos: kill-every-3 across 2 workers",
-        f"crashes {crashes}, respawns {respawns}, "
-        f"redeliveries {redeliveries}, lost 0, reorder runs {reorder}\n\n"
-        + render_serving(stats),
+        kill_every=3,
+        matrices=3,
+        requests=12,
+        m=128,
+        k=256,
+        n=32,
+        sparsity=0.9,
+        v=8,
+        seed=40,
+        fault_seed=0,
+        max_batch=8,
+        pool_workers=2,
+        max_redeliveries=3,
+        miss_storm=0,
+        slo_miss_budget=0.05,
+        plan_cache=str(tmp_path),
     )
+    emit("Shard chaos: kill-every-3 across 2 workers", result.render())
+    assert validate_bench_serving(result.doc) == []
+    shard = result.doc["shard"]
+    assert result.ok
+    assert shard["lost"] == 0
+    assert shard["crashes"] >= 1 and shard["respawns"] >= 1  # the chaos happened
+    assert not shard["poisoned_matrices"]  # serial traffic: recovery, not poison
+    assert shard["reorder_runs_workers"] == 0  # respawns admit from the warm cache
+    assert shard["bit_identical"] and shard["bit_identical_compared"] == 12

@@ -1,8 +1,7 @@
 """Machine-readable serving-bench reports (``BENCH_serving.json``).
 
-``repro serve-bench --bench-json`` and ``repro sched-bench`` fold one or
-more scenario runs into a single JSON document with schema
-``repro.bench_serving/v1``::
+Every drill in :mod:`repro.bench` folds its scenario runs into a single
+JSON document with schema ``repro.bench_serving/v1``::
 
     {
       "schema": "repro.bench_serving/v1",
@@ -15,7 +14,9 @@ more scenario runs into a single JSON document with schema
       ],
       "comparison": {"baseline": "fifo", "contender": "edf_cost",
                      "baseline_miss_rate": ..., "contender_miss_rate": ...,
-                     "miss_rate_improvement": ...}
+                     "miss_rate_improvement": ...,
+                     "baseline_throughput_rps": ..., "contender_throughput_rps": ...,
+                     "throughput_speedup": ...}
     }
 
 CI schema-checks the artifact with ``python -m repro.obs --bench``; the
@@ -83,8 +84,8 @@ def build_bench_serving(
     baseline: str | None = None,
     contender: str | None = None,
 ) -> dict:
-    """Assemble the full document; adds a miss-rate comparison if both
-    ``baseline`` and ``contender`` name a scenario."""
+    """Assemble the full document; adds a miss-rate and throughput
+    comparison if both ``baseline`` and ``contender`` name a scenario."""
     doc: dict = {"schema": BENCH_SERVING_SCHEMA, "scenarios": list(scenarios)}
     if baseline is not None and contender is not None:
         by_name = {s["name"]: s for s in scenarios}
@@ -96,6 +97,13 @@ def build_bench_serving(
             "contender_miss_rate": cont["deadline_miss_rate"],
             "miss_rate_improvement": (
                 base["deadline_miss_rate"] - cont["deadline_miss_rate"]
+            ),
+            "baseline_throughput_rps": base["throughput_rps"],
+            "contender_throughput_rps": cont["throughput_rps"],
+            "throughput_speedup": (
+                cont["throughput_rps"] / base["throughput_rps"]
+                if base["throughput_rps"] > 0
+                else 0.0
             ),
         }
     return doc

@@ -63,7 +63,6 @@ from .tiles import (
     MMA_TILE,
     SMEM_BYTES_PER_BLOCK,
     TileConfig,
-    num_column_groups,
 )
 
 __all__ = [
@@ -135,5 +134,4 @@ __all__ = [
     "MMA_TILE",
     "SMEM_BYTES_PER_BLOCK",
     "TileConfig",
-    "num_column_groups",
 ]

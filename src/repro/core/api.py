@@ -38,9 +38,12 @@ from .format import JigsawMatrix
 from .formatspec import FormatSpec
 from .kernels import (
     ALL_VERSIONS,
+    HybridPlan,
     JigsawRunResult,
+    build_hybrid_plan,
     compute_output,
     compute_output_exact,
+    run_hybrid_kernel,
     run_jigsaw_kernel,
 )
 from .serialization import load_jigsaw, load_vnm, save_jigsaw, save_vnm
@@ -131,10 +134,13 @@ class JigsawPlan:
         #: under version-qualified keys next to their ancestors.
         self.content_version = int(content_version)
         self.stats = PlanStats()
+        self._stats_lock = threading.Lock()
         self._formats: dict[tuple[int, bool], JigsawMatrix] = {}
         self._format_lock = threading.Lock()
         self._vnm: object = _VNM_UNRESOLVED
         self._vnm_lock = threading.Lock()
+        self._hybrid: HybridPlan | None = None
+        self._hybrid_lock = threading.Lock()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -263,7 +269,8 @@ class JigsawPlan:
             # Another thread already quarantined it (or the FS is gone);
             # either way the rebuild below proceeds.
             return
-        self.stats.quarantined += 1
+        with self._stats_lock:
+            self.stats.quarantined += 1
         get_metrics().counter(
             "repro_plan_artifact_events_total",
             "plan artifact incidents (quarantine, failed persist)",
@@ -296,7 +303,12 @@ class JigsawPlan:
         ):
             _, size, victim = entries.pop(0)
             try:
-                victim.unlink(missing_ok=True)
+                victim.unlink()
+            except FileNotFoundError:
+                # Another pruner removed it first: the bytes are gone,
+                # but the eviction is that pruner's to count.
+                total -= size
+                continue
             except OSError:
                 continue
             total -= size
@@ -305,7 +317,8 @@ class JigsawPlan:
                 "plan.artifact.quarantine_evicted", attrs={"path": victim.name}
             )
         if evicted:
-            self.stats.quarantine_evicted += evicted
+            with self._stats_lock:
+                self.stats.quarantine_evicted += evicted
             get_metrics().counter(
                 "repro_plan_artifact_events_total",
                 "plan artifact incidents (quarantine, failed persist)",
@@ -449,6 +462,18 @@ class JigsawPlan:
                 "matrix satisfies no V:N:M spec; the vnm route does not apply"
             )
         return run_vnm_kernel(vp, np.asarray(b), device, want_output=want_output)
+
+    def run_hybrid(self, b: np.ndarray, device: DeviceSpec = A100) -> JigsawRunResult:
+        """One Section-4.7 hybrid-granularity launch of this plan's matrix.
+
+        The hybrid plan is built on first use and cached on the plan, so
+        a dynamic-sparsity successor (:meth:`updated`) never serves its
+        ancestor's weights.
+        """
+        with self._hybrid_lock:
+            if self._hybrid is None:
+                self._hybrid = build_hybrid_plan(self._a)
+        return run_hybrid_kernel(self._hybrid, b, device)
 
     # -- dynamic sparsity ------------------------------------------------------
 

@@ -77,9 +77,3 @@ class TileConfig:
         cols = -(-n // self.block_tile_n)
         return rows, cols
 
-
-def num_column_groups(num_cols: int, mma_tile: int = MMA_TILE) -> int:
-    """MMA column groups needed to cover ``num_cols`` columns."""
-    if num_cols < 0:
-        raise ValueError("negative column count")
-    return -(-num_cols // mma_tile)

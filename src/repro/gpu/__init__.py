@@ -29,9 +29,6 @@ from .tensorcore import (
 from .warp import (
     WARP_SIZE,
     accumulator_owner_lane,
-    a_fragment_owner_lane,
-    lane_quad,
-    ldmatrix_row_providers,
     metadata_provider_lanes,
 )
 
@@ -72,8 +69,5 @@ __all__ = [
     "satisfies_2to4",
     "WARP_SIZE",
     "accumulator_owner_lane",
-    "a_fragment_owner_lane",
-    "lane_quad",
-    "ldmatrix_row_providers",
     "metadata_provider_lanes",
 ]

@@ -7,9 +7,7 @@ layout Jigsaw's design depends on:
 * which lanes supply sparse metadata for ``mma.sp`` with selector F
   (paper Figure 9: with F=0 only lanes 0,1,4,5,...,28,29 provide metadata,
   which naively causes warp divergence or wasted loads);
-* the per-lane ownership of A/B/C fragment elements, used to generate the
-  shared-memory address streams for ``ldmatrix`` and accumulator
-  write-back.
+* the per-lane ownership of m16n8 accumulator fragment elements.
 """
 
 from __future__ import annotations
@@ -43,29 +41,3 @@ def accumulator_owner_lane(row: int, col: int, m: int = 16, n: int = 8) -> int:
         raise ValueError(f"({row}, {col}) outside m{m}n{n} fragment")
     return (row % 8) * 4 + (col % 8) // 2
 
-
-def a_fragment_owner_lane(row: int, kidx: int, m: int = 16, k: int = 16) -> int:
-    """Lane owning A-fragment fp16 element (row, kidx) for m16n8k16-like shapes.
-
-    Lanes own 2-element vectors: lane = (row % 8) * 4 + (kidx % 8) // 2.
-    """
-    if not (0 <= row < m and 0 <= kidx < k):
-        raise ValueError(f"({row}, {kidx}) outside m{m}k{k} A fragment")
-    return (row % 8) * 4 + (kidx % 8) // 2
-
-
-def ldmatrix_row_providers(num: int = 4) -> np.ndarray:
-    """Lanes that provide row addresses for an ``ldmatrix.x{num}``.
-
-    Stage ``s`` takes its 8 row addresses from lanes ``8*s .. 8*s+7``.
-    """
-    if num not in (1, 2, 4):
-        raise ValueError("ldmatrix loads 1, 2 or 4 tiles")
-    return np.arange(8 * num)
-
-
-def lane_quad(lane: int) -> int:
-    """The quad (group of 4 lanes) a lane belongs to."""
-    if not 0 <= lane < WARP_SIZE:
-        raise ValueError("lane out of range")
-    return lane // 4

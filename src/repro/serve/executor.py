@@ -68,7 +68,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.kernels import ALL_VERSIONS
-from repro.core.kernels.hybrid import HybridPlan
 from repro.faults import BreakerBoard, FaultPlan, RetryPolicy
 from repro.gpu.device import A100, DeviceSpec
 from repro.obs import NullTracer, Tracer, get_metrics, get_tracer
@@ -191,8 +190,6 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
         self._retries = 0
         self._rejected = 0
         self._stats_lock = threading.Lock()
-        self._hybrid_plans: dict[str, HybridPlan] = {}
-        self._hybrid_lock = threading.Lock()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )

@@ -39,8 +39,6 @@ from concurrent.futures import InvalidStateError
 import numpy as np
 
 from repro.baselines.cublas import cublas_hgemm
-from repro.core.kernels import build_hybrid_plan, run_hybrid_kernel
-from repro.core.kernels.hybrid import HybridPlan
 from repro.faults import call_with_retry, maybe_inject
 from repro.obs import get_metrics
 
@@ -58,6 +56,17 @@ REORDER_ROUTES: tuple[str, ...] = ("jigsaw", "compiled")
 
 #: Routes that only apply when the plan's matrix satisfies a V:N:M spec.
 FORMAT_ROUTES: tuple[str, ...] = ("jigsaw@vnm",)
+
+#: One batched launch per route: ``(executor, plan, b, version) ->
+#: JigsawRunResult``.  Each entry resolves its plan method at call time,
+#: so a wrapper patched onto :class:`~repro.core.JigsawPlan` (a
+#: profiler's timing hook) is what serves.
+BATCHED_LAUNCH = {
+    "jigsaw": lambda ex, plan, b, version: plan.run(b, version=version, device=ex.device),
+    "compiled": lambda ex, plan, b, version: plan.run_compiled(b, device=ex.device),
+    "jigsaw@vnm": lambda ex, plan, b, version: plan.run_vnm(b, device=ex.device),
+    "hybrid": lambda ex, plan, b, version: plan.run_hybrid(b, device=ex.device),
+}
 
 
 class _RoutingMixin:
@@ -139,14 +148,14 @@ class _RoutingMixin:
 
         def attempt() -> None:
             maybe_inject(site, self.fault_plan)
-            if route == "jigsaw":
-                self._run_jigsaw(plan, name, version, live, was_resident)
-            elif route == "compiled":
-                self._run_compiled(plan, name, version, live, was_resident)
-            elif route == "jigsaw@vnm":
-                self._run_vnm(plan, name, version, live, was_resident)
-            else:
-                self._run_hybrid(name, version, live, was_resident)
+            widths, b_cat = self._concat_panels(live)
+            k0 = self._clock()
+            res = BATCHED_LAUNCH[route](self, plan, b_cat, version)
+            k1 = self._clock()
+            assert res.c is not None
+            us = res.profile.duration_us
+            self._record_batch(name, version, route, live, us)
+            self._split(live, res.c, widths, route, us, was_resident, k0, k1)
 
         def on_retry(attempt_no: int, exc: BaseException) -> None:
             self._count_retry(attempt_no, exc)
@@ -192,75 +201,6 @@ class _RoutingMixin:
             [np.ascontiguousarray(e.request.b) for e in live], axis=1
         )
         return widths, b_cat
-
-    def _run_jigsaw(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = plan.run(b_cat, version=version, device=self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "jigsaw", live, res.profile.duration_us)
-        self._split(
-            live, res.c, widths, "jigsaw", res.profile.duration_us, was_resident, k0, k1
-        )
-
-    def _run_compiled(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        """Whole-plan compiled launch (version-independent fast path)."""
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = plan.run_compiled(b_cat, device=self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "compiled", live, res.profile.duration_us)
-        self._split(
-            live,
-            res.c,
-            widths,
-            "compiled",
-            res.profile.duration_us,
-            was_resident,
-            k0,
-            k1,
-        )
-
-    def _run_vnm(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        """Format-qualified V:N:M launch (:meth:`JigsawPlan.run_vnm`)."""
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = plan.run_vnm(b_cat, device=self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "jigsaw@vnm", live, res.profile.duration_us)
-        self._split(
-            live,
-            res.c,
-            widths,
-            "jigsaw@vnm",
-            res.profile.duration_us,
-            was_resident,
-            k0,
-            k1,
-        )
-
-    def _run_hybrid(
-        self, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        hplan = self._hybrid_plan_for(name)
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = run_hybrid_kernel(hplan, b_cat, self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "hybrid", live, res.profile.duration_us)
-        self._split(
-            live, res.c, widths, "hybrid", res.profile.duration_us, was_resident, k0, k1
-        )
 
     def _run_dense(self, e: _Entry, batch_size: int, expired: bool) -> None:
         try:
@@ -385,14 +325,6 @@ class _RoutingMixin:
         # accumulate and return C in fp32 (this used to return fp16 zeros,
         # so a zero-width request got a different dtype than its siblings).
         self._resolve(e, ServeResult(c=np.zeros((m, 0), dtype=np.float32), stats=stats))
-
-    def _hybrid_plan_for(self, name: str) -> HybridPlan:
-        with self._hybrid_lock:
-            hplan = self._hybrid_plans.get(name)
-            if hplan is None:
-                hplan = build_hybrid_plan(self.registry.matrix(name))
-                self._hybrid_plans[name] = hplan
-            return hplan
 
     # -- future resolution -----------------------------------------------------
 

@@ -391,3 +391,46 @@ class TestQuarantineBudget:
             stats = ex.stats()
         assert stats.quarantined == 1
         assert stats.quarantine_evicted == 0
+
+    def test_concurrent_pruners_count_each_eviction_once(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """Two pruners both list the directory, then both unlink the same
+        oldest file: only the thread whose unlink removed it counts it."""
+        import pathlib
+        import threading
+
+        from repro.core import JigsawPlan
+
+        qdir = tmp_path / "quarantine"
+        qdir.mkdir()
+        for i in range(3):
+            p = qdir / f"q{i}.npz"
+            p.write_bytes(b"x" * 64)
+            os.utime(p, (1000 + i, 1000 + i))  # q0 oldest, q2 newest
+
+        # Hold each thread's first unlink until both have listed and
+        # picked the same victim, so both go for q0 together.
+        both_listed = threading.Barrier(2, timeout=10)
+        first_unlink = threading.local()
+        real_unlink = pathlib.Path.unlink
+
+        def unlink(self, *args, **kwargs):
+            if not getattr(first_unlink, "done", False):
+                first_unlink.done = True
+                both_listed.wait()
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "unlink", unlink)
+        a = random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng)
+        plans = [JigsawPlan(a, quarantine_max_bytes=1) for _ in range(2)]
+        threads = [
+            threading.Thread(target=p._prune_quarantine, args=(qdir,)) for p in plans
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+
+        assert sorted(p.name for p in qdir.iterdir()) == ["q2.npz"]
+        assert sum(p.stats.quarantine_evicted for p in plans) == 2

@@ -134,6 +134,21 @@ class TestInFlightOldVersion:
             )
 
 
+    def test_hybrid_route_serves_the_updated_weights(self, registry, rng):
+        """The hybrid route's plan follows the registry's plan version: a
+        cache keyed on the matrix name alone kept serving the weights it
+        was first built from."""
+        b = rng.standard_normal((128, 8)).astype(np.float16)
+        rows, cols, values = _upd(rng)
+        with BatchExecutor(registry, chain=("hybrid", "dense")) as ex:
+            before = ex.run([SpmmRequest("w", b)])[0]
+            registry.apply_update("w", rows, cols, values)
+            after = ex.run([SpmmRequest("w", b)])[0]
+        assert before.stats.route == after.stats.route == "hybrid"
+        ref = registry.matrix("w").astype(np.float32) @ b.astype(np.float32)
+        np.testing.assert_allclose(after.c, ref, rtol=1e-3, atol=1e-2)
+
+
 class TestStaleArtifacts:
     def test_disk_holds_both_versions_until_gc(self, registry, rng):
         registry.warm()

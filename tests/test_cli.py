@@ -135,3 +135,128 @@ class TestFleetStatusCli:
         args = build_parser().parse_args(["top", "--status-file", "s.json"])
         assert args.interval == 1.0
         assert args.once is False
+
+
+#: Keys every repro.bench_serving/v1 scenario record carries.
+SCENARIO_KEYS = {
+    "name",
+    "requests",
+    "throughput_rps",
+    "latency_s",
+    "deadline_miss_rate",
+    "route_mix",
+    "throttled",
+    "promoted",
+}
+
+#: Tiny shapes so each drill finishes in seconds.
+SMALL = ["--m", "64", "--k", "128", "--n", "16", "--v", "4"]
+
+
+class TestDrillFlags:
+    @pytest.mark.parametrize(
+        "command, drill",
+        [
+            ("serve-bench", "serve_drill"),
+            ("serve-bench", "ab_drill"),
+            ("sched-bench", "sched_drill"),
+            ("graph-bench", "graph_drill"),
+            ("chaos-bench", "chaos_drill"),
+            ("shard-bench", "shard_drill"),
+        ],
+    )
+    def test_every_drill_parameter_is_a_flag(self, command, drill):
+        """The CLI fills a drill's keywords from the flags of the same name;
+        a parameter without a flag would silently keep its default."""
+        import inspect
+
+        import repro.bench
+
+        params = inspect.signature(getattr(repro.bench, drill)).parameters
+        keywords = {n for n, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        flags = set(vars(build_parser().parse_args([command])))
+        assert keywords <= flags
+
+
+class TestBenchSmoke:
+    """Each bench subcommand at tiny sizes: exit code, a schema-valid
+    report, and the report's top-level and scenario keys."""
+
+    def _run(self, tmp_path, argv):
+        import json
+
+        from repro.obs import validate_bench_serving
+
+        out = tmp_path / "bench.json"
+        rc = main(argv + ["--plan-cache", str(tmp_path / "cache"), "--bench-json", str(out)])
+        doc = json.loads(out.read_text())
+        assert validate_bench_serving(doc) == []
+        for s in doc["scenarios"]:
+            assert set(s) == SCENARIO_KEYS
+        return rc, doc
+
+    def test_serve_bench(self, capsys, tmp_path):
+        rc, doc = self._run(
+            tmp_path, ["serve-bench", "--matrices", "2", "--requests", "4", *SMALL]
+        )
+        assert rc == 0
+        assert set(doc) == {"schema", "scenarios"}
+        assert [s["name"] for s in doc["scenarios"]] == ["serve"]
+        assert "batching speedup" in capsys.readouterr().out
+
+    def test_serve_bench_compare_compiled(self, capsys, tmp_path):
+        rc, doc = self._run(
+            tmp_path,
+            ["serve-bench", "--compare-compiled", "--matrices", "2", "--requests", "4",
+             "--warmup-rounds", "2", *SMALL],
+        )
+        assert rc == 0
+        assert set(doc) == {"schema", "scenarios", "comparison"}
+        assert [s["name"] for s in doc["scenarios"]] == ["tile", "compiled_cost"]
+        assert doc["scenarios"][0]["route_mix"]["compiled"] == 0
+        assert {"baseline_throughput_rps", "contender_throughput_rps",
+                "throughput_speedup"} <= set(doc["comparison"])
+        assert "throughput speedup" in capsys.readouterr().out
+
+    def test_serve_bench_compare_formats(self, capsys, tmp_path):
+        rc, doc = self._run(
+            tmp_path,
+            ["serve-bench", "--compare-formats", "--matrices", "1", "--requests", "2",
+             "--warmup-rounds", "2", "--m", "64", "--k", "128", "--n", "16",
+             "--venom-v", "32", "--venom-m", "8"],
+        )
+        assert rc == 0
+        assert set(doc) == {"schema", "scenarios", "comparison"}
+        assert [s["name"] for s in doc["scenarios"]] == ["rigid", "format_cost"]
+        assert doc["scenarios"][0]["route_mix"].get("jigsaw@vnm", 0) == 0
+        sel = doc["comparison"]["format_selection"]
+        assert set(sel) == {"venom_spec", "costs_us_per_col", "contender_route_mix"}
+        assert sel["venom_spec"] == "vnm:32:2:8"
+        assert "throughput speedup" in capsys.readouterr().out
+
+    def test_sched_bench(self, capsys, tmp_path):
+        rc, doc = self._run(
+            tmp_path,
+            ["sched-bench", "--matrices", "2", "--requests", "8", *SMALL,
+             "--window-ms", "100", "--deadline-ms", "40", "--promote-margin-ms", "20"],
+        )
+        assert rc == 0
+        assert set(doc) == {"schema", "scenarios", "comparison"}
+        assert [s["name"] for s in doc["scenarios"]] == ["fifo", "edf_cost"]
+        assert "deadline miss rate" in capsys.readouterr().out
+
+    def test_graph_bench(self, capsys, tmp_path):
+        rc, doc = self._run(
+            tmp_path,
+            ["graph-bench", "--layers", "2", "--requests", "4", "--size", "64",
+             "--n", "16", "--update-every", "2"],
+        )
+        assert rc == 0  # pipelined outputs bit-identical to sequential
+        assert set(doc) == {"schema", "scenarios", "comparison", "graph"}
+        assert [s["name"] for s in doc["scenarios"]] == [
+            "graph_sequential",
+            "graph_pipelined",
+        ]
+        assert doc["graph"]["bit_identical"] is True
+        assert doc["graph"]["repair"]["bit_identical"] is True
+        assert "outputs bit-identical" in capsys.readouterr().out
